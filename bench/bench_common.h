@@ -153,7 +153,11 @@ StrategyResult RunStrategies(const Index& index, const Dataset& base,
     output_sizes.Add(static_cast<double>(out.size()));
     if (!truth.empty()) result.hybrid_recall += data::Recall(out, truth[q]);
     if (stats.strategy == core::Strategy::kLsh && stats.cand_actual > 0) {
-      cand_err.Add(std::abs(stats.cand_estimate -
+      // Query skips the HLL merge where the collision bounds decide;
+      // EstimateOnly always reports the estimate.
+      const double cand_estimate =
+          hybrid.EstimateOnly(queries.point(q)).cand_estimate;
+      cand_err.Add(std::abs(cand_estimate -
                             static_cast<double>(stats.cand_actual)) /
                    static_cast<double>(stats.cand_actual));
     }

@@ -66,12 +66,19 @@ int main() {
     const auto truth =
         data::RangeScanBinary(split.base, split.queries.point(q), radius);
     recall += data::Recall(neighbors, truth);
+    // No estimate when the exact collision count already decided.
+    char cand[32];
+    if (stats.estimate_skipped) {
+      std::snprintf(cand, sizeof(cand), "skipped");
+    } else {
+      std::snprintf(cand, sizeof(cand), "%.0f", stats.cand_estimate);
+    }
     std::printf(
         "query %zu: %-6s  reported=%zu / true=%zu  collisions=%llu  "
-        "candSize~%.0f\n",
+        "candSize~%s\n",
         q, std::string(core::StrategyName(stats.strategy)).c_str(),
         neighbors.size(), truth.size(),
-        static_cast<unsigned long long>(stats.collisions), stats.cand_estimate);
+        static_cast<unsigned long long>(stats.collisions), cand);
   }
   std::printf("average recall: %.3f\n", recall / split.queries.size());
   return 0;

@@ -61,13 +61,20 @@ int main() {
   for (size_t q = 0; q < split.queries.size(); ++q) {
     neighbors.clear();
     searcher.Query(split.queries.point(q), radius, &neighbors, &stats);
+    // When the exact collision count already decides, no sketch is merged
+    // and lsh_cost is the bound that decided.
+    char cand[32];
+    if (stats.estimate_skipped) {
+      std::snprintf(cand, sizeof(cand), "skipped");
+    } else {
+      std::snprintf(cand, sizeof(cand), "%.0f", stats.cand_estimate);
+    }
     std::printf(
         "query %zu: strategy=%-6s  neighbors=%-5zu  collisions=%-6llu "
-        "candSize~%-7.0f (actual %zu)  cost lsh=%.0f linear=%.0f\n",
+        "candSize~%-7s (actual %zu)  cost lsh=%.0f linear=%.0f\n",
         q, std::string(core::StrategyName(stats.strategy)).c_str(),
         neighbors.size(), static_cast<unsigned long long>(stats.collisions),
-        stats.cand_estimate, stats.cand_actual, stats.lsh_cost,
-        stats.linear_cost);
+        cand, stats.cand_actual, stats.lsh_cost, stats.linear_cost);
   }
 
   // 5. Recall check against exact ground truth (linear scan).

@@ -28,7 +28,7 @@ util::StatusOr<double> CostCalibrator::MeasureAlpha(size_t capacity,
     id = static_cast<uint32_t>(rng.UniformInt(0, static_cast<int64_t>(capacity) - 1));
   }
   // Price the span-batched dedup the collect path actually runs: the
-  // plan-based walk (lsh::CollectProbedIds) hands VisitedSet whole buckets
+  // plan-based walk (lsh::GatherResolved) hands VisitedSet whole buckets
   // via InsertSpan, not one Insert call per collision. Feed the stream in
   // small-bucket-sized chunks so alpha reflects the amortized per-id cost.
   constexpr size_t kSpan = 8;

@@ -112,31 +112,22 @@ struct CostModel {
     return Clamp01(Clamp01(live_fraction) * Clamp01(selectivity));
   }
 
-  /// Tombstone correction for segmented indexes (engine/segmented_index.h).
-  /// Dead ids still sit in buckets and sketches, so the summed ProbeEstimate
-  /// overstates S3: of `cand_size` estimated distinct candidates only
-  /// ~live_fraction reach the distance check (dead ones are dropped at S2,
-  /// whose alpha cost is already fully counted in #collisions). Subtract
-  /// this from LshCost before comparing against LinearCost(live_n).
-  double TombstoneCorrection(double cand_size, double live_fraction) const {
-    return DeadWeightCorrection(cand_size,
-                                EffectiveLiveFraction(live_fraction, 1.0));
-  }
-
   /// The LSH side of the hybrid decision with the tombstone and filter
   /// discounts applied — the single formula every decision site
-  /// (HybridSearcher, ShardedEngine::QueryShard) compares against
-  /// LinearCost(live_n, selectivity). Candidates that are dead or filtered
-  /// are rejected by a bit test at S2/verify-screen whose cost is already
-  /// inside alpha*#collisions + the screen share of VerifyBeta(); only the
-  /// effective live fraction of them pays an exact distance. The defaults
-  /// (live_fraction 1, selectivity 1) reduce to Eq. 1.
+  /// (DecideStrategy) compares against LinearCost(live_n, selectivity).
+  /// Candidates that are dead or filtered are rejected by a bit test at
+  /// S2/verify-screen whose cost is already inside alpha*#collisions + the
+  /// screen share of VerifyBeta(); only the effective live fraction of them
+  /// pays an exact distance. The defaults (live_fraction 1, selectivity 1)
+  /// reduce to Eq. 1. Written as a sum of non-negative products so that it
+  /// is non-decreasing in `cand_size` in floating point too, which is what
+  /// lets DecideStrategy decide from the collision bounds alone.
   double CorrectedLshCost(uint64_t collisions, double cand_size,
                           double live_fraction,
                           double selectivity = 1.0) const {
-    return LshCost(collisions, cand_size) -
-           DeadWeightCorrection(
-               cand_size, EffectiveLiveFraction(live_fraction, selectivity));
+    return alpha * static_cast<double>(collisions) +
+           VerifyBeta() * cand_size *
+               EffectiveLiveFraction(live_fraction, selectivity);
   }
 
   /// CorrectedLshCost from one coherent LiveStats snapshot — the form the
@@ -160,16 +151,64 @@ struct CostModel {
 
  private:
   static double Clamp01(double f) { return f < 0.0 ? 0.0 : (f > 1.0 ? 1.0 : f); }
-
-  /// Cost of the exact distances NOT paid because (1 - effective_fraction)
-  /// of the estimated candidates are rejected by bit tests. Private: the
-  /// effective fraction must come from EffectiveLiveFraction so no call
-  /// site can stack two independent corrections.
-  double DeadWeightCorrection(double cand_size,
-                              double effective_fraction) const {
-    return VerifyBeta() * cand_size * (1.0 - effective_fraction);
-  }
 };
+
+/// One walk's hybrid decision (Alg. 2 lines 3-4) and the figures behind it.
+struct StrategyDecision {
+  bool use_lsh = false;
+  /// True when the exact collision count alone decided the strategy: no
+  /// sketch was merged and cand_estimate stays 0.
+  bool estimate_skipped = false;
+  /// candSize estimate (0 when skipped).
+  double cand_estimate = 0.0;
+  /// CorrectedLshCost at cand_estimate; when skipped, at the bound that
+  /// decided (cand_size = collisions for LSH, 0 for linear).
+  double lsh_cost = 0.0;
+  double linear_cost = 0.0;
+};
+
+/// The decision at a known candSize estimate: LSH iff
+/// CorrectedLshCost(collisions, cand_estimate) < LinearCost(live).
+inline StrategyDecision DecideAtEstimate(const CostModel& model,
+                                         uint64_t collisions,
+                                         double cand_estimate,
+                                         const LiveStats& live,
+                                         double selectivity = 1.0) {
+  StrategyDecision decision;
+  decision.cand_estimate = cand_estimate;
+  decision.lsh_cost =
+      model.CorrectedLshCost(collisions, cand_estimate, live, selectivity);
+  decision.linear_cost = model.LinearCost(live.live, selectivity);
+  decision.use_lsh = decision.lsh_cost < decision.linear_cost;
+  return decision;
+}
+
+/// The hybrid decision of one walk whose exact collision count is known,
+/// deciding from bounds where they suffice. A candSize estimate lies in
+/// [0, collisions] (EstimateProbe caps it there: distinct candidates never
+/// outnumber collisions) and CorrectedLshCost is non-decreasing in it, so
+///   - CorrectedLshCost(c, c) <  LinearCost  => LSH, whatever the estimate;
+///   - CorrectedLshCost(c, 0) >= LinearCost  => linear, whatever it is.
+/// Only between the bounds does `estimate()` run (merging the sketches);
+/// it must return the capped estimate. Every outcome equals
+/// DecideAtEstimate at the capped estimate.
+template <typename EstimateFn>
+StrategyDecision DecideStrategy(const CostModel& model, uint64_t collisions,
+                                const LiveStats& live, double selectivity,
+                                EstimateFn&& estimate) {
+  const double linear_cost = model.LinearCost(live.live, selectivity);
+  const double upper = model.CorrectedLshCost(
+      collisions, static_cast<double>(collisions), live, selectivity);
+  if (upper < linear_cost) {
+    return StrategyDecision{true, true, 0.0, upper, linear_cost};
+  }
+  const double lower =
+      model.CorrectedLshCost(collisions, 0.0, live, selectivity);
+  if (lower >= linear_cost) {
+    return StrategyDecision{false, true, 0.0, lower, linear_cost};
+  }
+  return DecideAtEstimate(model, collisions, estimate(), live, selectivity);
+}
 
 /// Measures alpha and beta empirically (paper §4.2's procedure). Degenerate
 /// inputs fail with InvalidArgument instead of indexing out of range or

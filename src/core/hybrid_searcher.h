@@ -54,16 +54,23 @@ struct QueryStats {
   Strategy strategy = Strategy::kLsh;
   /// Exact number of collisions in the probed buckets.
   uint64_t collisions = 0;
-  /// candSize estimate from the merged HLLs.
+  /// candSize estimate from the merged HLLs, capped at collisions (0 when
+  /// estimate_skipped).
   double cand_estimate = 0.0;
+  /// True when the exact collision count alone decided the strategy, so no
+  /// sketch was merged (core::DecideStrategy).
+  bool estimate_skipped = false;
   /// Exact distinct candidate count (LSH path only; 0 on the linear path).
   size_t cand_actual = 0;
   /// Number of reported near neighbors.
   size_t output_size = 0;
-  /// Model costs behind the decision.
+  /// Model costs behind the decision; when the estimate was skipped,
+  /// lsh_cost is the collision bound that decided.
   double lsh_cost = 0.0;
   double linear_cost = 0.0;
-  /// Wall seconds spent merging HLLs + estimating candSize (Table 1 %Cost).
+  /// Wall seconds spent deciding: merging HLLs + estimating candSize
+  /// (Table 1 %Cost). On plan walks the bucket lookups it shares with the
+  /// gather are not included.
   double estimate_seconds = 0.0;
   /// Wall seconds for the whole query (S1 + estimate + execution).
   double total_seconds = 0.0;
@@ -77,6 +84,15 @@ struct QueryStats {
   /// forced-linear.
   size_t plan_reuse = 0;
 };
+
+/// Copies a decision's figures (not the strategy, which a forced mode may
+/// override) into a walk's stats.
+inline void NoteDecision(const StrategyDecision& decision, QueryStats* s) {
+  s->cand_estimate = decision.cand_estimate;
+  s->estimate_skipped = decision.estimate_skipped;
+  s->lsh_cost = decision.lsh_cost;
+  s->linear_cost = decision.linear_cost;
+}
 
 /// Mutually exclusive execution modes (see Query()).
 enum class ForcedStrategy {
@@ -188,28 +204,14 @@ class HybridSearcher {
     }
 
     // S1: the probe plan (or legacy bucket keys) — home buckets plus the
-    // multi-probe sequence.
-    ComputeKeys(query, s);
+    // multi-probe sequence — resolved against the tables.
+    ComputeProbe(query, s);
 
-    // Alg. 2 lines 1-2: exact #collisions + candSize estimate via HLLs
-    // (summed across segments for a segmented index).
-    {
-      util::WallTimer estimate_timer;
-      const auto estimate = EstimateNow();
-      s->collisions = estimate.collisions;
-      s->cand_estimate = estimate.cand_estimate;
-      s->estimate_seconds = estimate_timer.ElapsedSeconds();
-    }
-
-    // Alg. 2 lines 3-4: compare model costs, pick the strategy. A
-    // segmented index's estimate includes tombstoned ids; subtract their
-    // share of the verification cost and scan only live points linearly.
-    const LiveStats live = LiveStatsSnapshot();
-    s->lsh_cost = options_.cost_model.CorrectedLshCost(s->collisions,
-                                                       s->cand_estimate, live);
-    s->linear_cost = options_.cost_model.LinearCost(live.live);
-    const bool use_lsh = options_.forced == ForcedStrategy::kAlwaysLsh ||
-                         s->lsh_cost < s->linear_cost;
+    // Alg. 2: exact #collisions, then the candSize estimate where the
+    // collision bounds leave the decision open, and the comparison. A
+    // segmented index's estimate includes tombstoned ids; the corrected LSH
+    // cost discounts their share, and the linear path scans live points.
+    const bool use_lsh = Decide(LiveStatsSnapshot(), 1.0, s);
 
     if (use_lsh) {
       s->strategy = Strategy::kLsh;
@@ -262,20 +264,8 @@ class HybridSearcher {
       return;
     }
 
-    ComputeKeys(query, s);
-    {
-      util::WallTimer estimate_timer;
-      const auto estimate = EstimateNow();
-      s->collisions = estimate.collisions;
-      s->cand_estimate = estimate.cand_estimate;
-      s->estimate_seconds = estimate_timer.ElapsedSeconds();
-    }
-
-    s->lsh_cost = options_.cost_model.CorrectedLshCost(
-        s->collisions, s->cand_estimate, live.fraction(), selectivity);
-    s->linear_cost = options_.cost_model.LinearCost(live.live, selectivity);
-    const bool use_lsh = options_.forced == ForcedStrategy::kAlwaysLsh ||
-                         s->lsh_cost < s->linear_cost;
+    ComputeProbe(query, s);
+    const bool use_lsh = Decide(live, selectivity, s);
     if (use_lsh) {
       s->strategy = Strategy::kLsh;
       ExecuteLsh(query, radius, out, s, filter);
@@ -295,7 +285,7 @@ class HybridSearcher {
     *s = QueryStats{};
     util::WallTimer total_timer;
     EnsureCapacity();
-    ComputeKeys(query, s);
+    ComputeProbe(query, s);
     s->strategy = Strategy::kLsh;
     ExecuteLsh(query, radius, out, s);
     s->total_seconds = total_timer.ElapsedSeconds();
@@ -315,21 +305,20 @@ class HybridSearcher {
   }
 
   /// The decision inputs for a query without executing it (Alg. 2 lines
-  /// 1-3). Useful for inspecting the cost model.
+  /// 1-3). Useful for inspecting the cost model: unlike Query, it always
+  /// merges the sketches and reports the estimate (estimate_skipped stays
+  /// false); the strategy is the one the hybrid decision picks.
   QueryStats EstimateOnly(Point query) {
     QueryStats s;
     util::WallTimer total_timer;
-    ComputeKeys(query, &s);
+    ComputeProbe(query, &s);
     util::WallTimer estimate_timer;
-    const auto estimate = EstimateNow();
-    s.collisions = estimate.collisions;
-    s.cand_estimate = estimate.cand_estimate;
+    const double cand_estimate = FullEstimate(&s);
+    const StrategyDecision decision = DecideAtEstimate(
+        options_.cost_model, s.collisions, cand_estimate, LiveStatsSnapshot());
     s.estimate_seconds = estimate_timer.ElapsedSeconds();
-    const LiveStats live = LiveStatsSnapshot();
-    s.lsh_cost =
-        options_.cost_model.CorrectedLshCost(s.collisions, s.cand_estimate, live);
-    s.linear_cost = options_.cost_model.LinearCost(live.live);
-    s.strategy = s.lsh_cost < s.linear_cost ? Strategy::kLsh : Strategy::kLinear;
+    NoteDecision(decision, &s);
+    s.strategy = decision.use_lsh ? Strategy::kLsh : Strategy::kLinear;
     s.total_seconds = total_timer.ElapsedSeconds();
     return s;
   }
@@ -338,21 +327,25 @@ class HybridSearcher {
   const SearcherOptions& options() const { return options_; }
 
  private:
-  /// Does the index speak the hash-once ProbePlan protocol (lsh/index.h)?
-  /// LshIndex and SegmentedIndex do; CoveringLshIndex stays on the legacy
-  /// key buffer.
+  /// Does the index speak the hash-once, resolve-once ProbePlan protocol
+  /// (lsh/index.h)? LshIndex does; SegmentedIndex (whose one-call forms
+  /// each acquire their own snapshot) and CoveringLshIndex stay on the
+  /// legacy key buffer.
   static constexpr bool kHasPlan =
       requires(const Index& i, Point p, size_t probes,
                lsh::PlanScratch* scratch, lsh::ProbePlan* plan,
+               std::vector<lsh::LshTable::BucketView>* views,
                hll::HyperLogLog* merged, util::VisitedSet* visited) {
         { i.ComputePlan(p, probes, scratch, plan) } -> std::same_as<util::Status>;
-        i.EstimateProbe(*plan, merged);
-        i.CollectCandidates(*plan, visited);
+        { i.ResolveProbe(*plan, views) } -> std::same_as<uint64_t>;
+        i.EstimateResolved(*views, uint64_t{0}, merged);
+        i.GatherResolved(*views, visited);
       };
 
-  /// S1: compute the probe plan (and record the hash accounting), or fall
+  /// S1: compute the probe plan (and record the hash accounting) and
+  /// resolve its buckets once, setting the exact collision count — or fall
   /// back to the flat key buffer for indexes without plan support.
-  void ComputeKeys(Point query, QueryStats* s) {
+  void ComputeProbe(Point query, QueryStats* s) {
     if constexpr (kHasPlan) {
       HLSH_CHECK(index_
                      ->ComputePlan(query, options_.probes_per_table,
@@ -360,19 +353,43 @@ class HybridSearcher {
                      .ok());
       s->hash_evals = plan_.num_tables();
       s->plan_reuse = 1;
+      s->collisions = index_->ResolveProbe(plan_, &buckets_);
     } else {
       ComputeProbeKeys(*index_, query, options_.probes_per_table, &keys_);
       s->hash_evals = static_cast<uint64_t>(index_->num_tables());
     }
   }
 
-  /// Alg. 2 lines 1-2 on whichever probe representation S1 produced.
-  auto EstimateNow() {
+  /// Alg. 2 lines 1-2: the capped candSize estimate. The key-buffer path
+  /// learns the collision count here too.
+  double FullEstimate(QueryStats* s) {
     if constexpr (kHasPlan) {
-      return index_->EstimateProbe(plan_, &merged_);
+      return index_->EstimateResolved(buckets_, s->collisions, &merged_);
     } else {
-      return index_->EstimateProbe(keys_, &merged_);
+      const auto estimate = index_->EstimateProbe(keys_, &merged_);
+      s->collisions = estimate.collisions;
+      return estimate.cand_estimate;
     }
+  }
+
+  /// Alg. 2 lines 2-4 after ComputeProbe: records the decision in *s and
+  /// returns whether to take the LSH path. Plan walks decide from the
+  /// collision bounds where they suffice (core::DecideStrategy); the
+  /// key-buffer path has its estimate anyway and decides at it.
+  bool Decide(const LiveStats& live, double selectivity, QueryStats* s) {
+    util::WallTimer estimate_timer;
+    StrategyDecision decision;
+    if constexpr (kHasPlan) {
+      decision = DecideStrategy(options_.cost_model, s->collisions, live,
+                                selectivity, [&] { return FullEstimate(s); });
+    } else {
+      const double cand_estimate = FullEstimate(s);
+      decision = DecideAtEstimate(options_.cost_model, s->collisions,
+                                  cand_estimate, live, selectivity);
+    }
+    s->estimate_seconds = estimate_timer.ElapsedSeconds();
+    NoteDecision(decision, s);
+    return options_.forced == ForcedStrategy::kAlwaysLsh || decision.use_lsh;
   }
 
   // S2 + S3: dedup candidates into the flat touched() buffer, then verify
@@ -383,7 +400,7 @@ class HybridSearcher {
                   QueryStats* s, const util::BitVector* filter = nullptr) {
     visited_.Reset();
     if constexpr (kHasPlan) {
-      s->collisions = index_->CollectCandidates(plan_, &visited_);
+      index_->GatherResolved(buckets_, &visited_);
     } else {
       s->collisions = index_->CollectCandidates(keys_, &visited_);
     }
@@ -465,6 +482,7 @@ class HybridSearcher {
   std::vector<uint64_t> keys_;        // legacy S1 buffer (non-plan indexes)
   lsh::PlanScratch plan_scratch_;     // hash-once S1 workspace
   lsh::ProbePlan plan_;               // the query's reusable probe plan
+  std::vector<lsh::LshTable::BucketView> buckets_;  // plan_'s resolved buckets
   std::vector<uint32_t> linear_ids_;  // live-id scratch (segmented linear)
 };
 

@@ -38,8 +38,8 @@
 //
 // The hybrid decision sums ProbeEstimates across segments; tombstones bias
 // the estimate upward (dead ids still sit in the merged sketches), which
-// core::CostModel::TombstoneCorrection subtracts before the LSH-vs-linear
-// comparison.
+// core::CostModel::CorrectedLshCost discounts by the live fraction before
+// the LSH-vs-linear comparison.
 //
 // --- Concurrency model (the PR 6 serving core) -----------------------------
 //
@@ -236,17 +236,30 @@ class ActiveLshLog {
     }
   }
 
-  /// AccumulateProbe over a precomputed plan: per-table keys are already
-  /// unique, so the walk is a straight replay with no dedup rescans.
-  void AccumulateProbe(const lsh::ProbePlan& plan, size_t limit,
-                       hll::HyperLogLog* scratch, uint64_t* collisions) const {
+  /// Resolve step of a plan walk over entries [0, limit): the exact
+  /// collision count only. The log's buckets are chains, not id spans, so
+  /// the estimate and the gather walk them again (FoldProbed /
+  /// GatherProbed); a log holds at most one seal threshold of entries.
+  uint64_t CountProbed(const lsh::ProbePlan& plan, size_t limit) const {
+    HLSH_DCHECK(plan.num_tables() == num_tables_);
+    uint64_t collisions = 0;
+    for (size_t t = 0; t < num_tables_; ++t) {
+      for (const uint64_t key : plan.TableKeys(t)) {
+        ForEachInBucket(t, key, limit, [&](uint32_t) { ++collisions; });
+      }
+    }
+    return collisions;
+  }
+
+  /// Estimate step of a plan walk: folds the probed ids into *scratch
+  /// (active buckets have no sketches — §3.2 on-demand folding).
+  void FoldProbed(const lsh::ProbePlan& plan, size_t limit,
+                  hll::HyperLogLog* scratch) const {
     HLSH_DCHECK(plan.num_tables() == num_tables_);
     for (size_t t = 0; t < num_tables_; ++t) {
       for (const uint64_t key : plan.TableKeys(t)) {
-        ForEachInBucket(t, key, limit, [&](uint32_t id) {
-          ++*collisions;
-          scratch->AddPoint(id);
-        });
+        ForEachInBucket(t, key, limit,
+                        [&](uint32_t id) { scratch->AddPoint(id); });
       }
     }
   }
@@ -271,23 +284,20 @@ class ActiveLshLog {
     return collisions;
   }
 
-  /// CollectProbedIds over a precomputed plan (no dedup rescans).
-  uint64_t CollectProbedIds(const lsh::ProbePlan& plan, size_t limit,
-                            util::VisitedSet* visited,
-                            const util::BitVector* tombstones) const {
+  /// Gather step of a plan walk: dedups the probed live ids into *visited.
+  void GatherProbed(const lsh::ProbePlan& plan, size_t limit,
+                    util::VisitedSet* visited,
+                    const util::BitVector* tombstones) const {
     HLSH_DCHECK(plan.num_tables() == num_tables_);
-    uint64_t collisions = 0;
     for (size_t t = 0; t < num_tables_; ++t) {
       for (const uint64_t key : plan.TableKeys(t)) {
         ForEachInBucket(t, key, limit, [&](uint32_t id) {
-          ++collisions;
           if (tombstones == nullptr || !tombstones->TestAcquire(id)) {
             visited->Insert(id);
           }
         });
       }
     }
-    return collisions;
   }
 
   /// Heap bytes of the log's fixed storage.
@@ -411,16 +421,16 @@ class SegmentedIndex {
    public:
     /// Sums the Alg. 2 lines 1-2 estimate across every segment: collisions
     /// exactly, candSize from ONE merged HLL (sketches from sealed
-    /// buckets, on-demand folding for small/active buckets). Tombstoned
-    /// ids are still counted — apply CostModel::TombstoneCorrection with
-    /// live_fraction() before comparing against the linear cost.
+    /// buckets, on-demand folding for small/active buckets), capped at the
+    /// collisions. Tombstoned ids are still counted — the decision
+    /// (core::DecideStrategy) discounts them with the live fraction.
     lsh::ProbeEstimate EstimateProbe(std::span<const uint64_t> keys,
                                      hll::HyperLogLog* scratch) const {
       scratch->Clear();
       lsh::ProbeEstimate estimate;
       for (const auto& segment : view_->sealed) {
-        lsh::AccumulateProbe<lsh::LshTable>(segment->tables, keys, scratch,
-                                            &estimate.collisions);
+        lsh::AccumulateProbe(segment->tables, keys, scratch,
+                             &estimate.collisions);
       }
       for (const auto& log : view_->frozen) {
         log->AccumulateProbe(keys, log->size_acquire(), scratch,
@@ -431,30 +441,20 @@ class SegmentedIndex {
                                        &estimate.collisions);
       }
       estimate.cand_estimate =
-          estimate.collisions == 0 ? 0.0 : scratch->Estimate();
+          lsh::ClampedEstimate(*scratch, estimate.collisions);
       return estimate;
     }
 
-    /// EstimateProbe over a precomputed plan (hash-once path): the same
-    /// summed estimate, replaying one ProbePlan against every segment.
+    /// EstimateProbe over a precomputed plan (hash-once path): ResolveProbe
+    /// then EstimateResolved.
     lsh::ProbeEstimate EstimateProbe(const lsh::ProbePlan& plan,
                                      hll::HyperLogLog* scratch) const {
-      scratch->Clear();
+      std::vector<lsh::LshTable::BucketView>& views =
+          lsh::internal::ThreadViews();
       lsh::ProbeEstimate estimate;
-      for (const auto& segment : view_->sealed) {
-        lsh::AccumulateProbe<lsh::LshTable>(segment->tables, plan, scratch,
-                                            &estimate.collisions);
-      }
-      for (const auto& log : view_->frozen) {
-        log->AccumulateProbe(plan, log->size_acquire(), scratch,
-                             &estimate.collisions);
-      }
-      if (active_count_ > 0) {
-        view_->active->AccumulateProbe(plan, active_count_, scratch,
-                                       &estimate.collisions);
-      }
+      estimate.collisions = ResolveProbe(plan, &views);
       estimate.cand_estimate =
-          estimate.collisions == 0 ? 0.0 : scratch->Estimate();
+          EstimateResolved(plan, views, estimate.collisions, scratch);
       return estimate;
     }
 
@@ -465,8 +465,8 @@ class SegmentedIndex {
                                util::VisitedSet* visited) const {
       uint64_t collisions = 0;
       for (const auto& segment : view_->sealed) {
-        collisions += lsh::CollectProbedIds<lsh::LshTable>(
-            segment->tables, keys, visited, tombstones_);
+        collisions += lsh::CollectProbedIds(segment->tables, keys, visited,
+                                            tombstones_);
       }
       for (const auto& log : view_->frozen) {
         collisions += log->CollectProbedIds(keys, log->size_acquire(),
@@ -479,23 +479,69 @@ class SegmentedIndex {
       return collisions;
     }
 
-    /// S2 over a precomputed plan (hash-once path).
+    /// S2 over a precomputed plan (hash-once path): ResolveProbe then
+    /// GatherResolved.
     uint64_t CollectCandidates(const lsh::ProbePlan& plan,
                                util::VisitedSet* visited) const {
+      std::vector<lsh::LshTable::BucketView>& views =
+          lsh::internal::ThreadViews();
+      const uint64_t collisions = ResolveProbe(plan, &views);
+      GatherResolved(plan, views, visited);
+      return collisions;
+    }
+
+    /// Resolve-once walk, step 1: every sealed segment's probed buckets
+    /// into *views (cleared first; segment, table, probe order) and the
+    /// exact collision count of the whole snapshot — the frozen and active
+    /// logs only count theirs here.
+    uint64_t ResolveProbe(
+        const lsh::ProbePlan& plan,
+        std::vector<lsh::LshTable::BucketView>* views) const {
+      views->clear();
       uint64_t collisions = 0;
       for (const auto& segment : view_->sealed) {
-        collisions += lsh::CollectProbedIds<lsh::LshTable>(
-            segment->tables, plan, visited, tombstones_);
+        collisions += lsh::ResolveProbe(segment->tables, plan, views);
       }
       for (const auto& log : view_->frozen) {
-        collisions += log->CollectProbedIds(plan, log->size_acquire(),
-                                            visited, tombstones_);
+        collisions += log->CountProbed(plan, log->size_acquire());
       }
       if (active_count_ > 0) {
-        collisions += view_->active->CollectProbedIds(plan, active_count_,
-                                                      visited, tombstones_);
+        collisions += view_->active->CountProbed(plan, active_count_);
       }
       return collisions;
+    }
+
+    /// Resolve-once walk, estimate: candSize from the resolved views plus
+    /// the logs' folded ids (`scratch` is cleared first), capped at
+    /// `collisions`.
+    double EstimateResolved(
+        const lsh::ProbePlan& plan,
+        std::span<const lsh::LshTable::BucketView> views,
+        uint64_t collisions, hll::HyperLogLog* scratch) const {
+      scratch->Clear();
+      lsh::MergeResolved(views, scratch);
+      for (const auto& log : view_->frozen) {
+        log->FoldProbed(plan, log->size_acquire(), scratch);
+      }
+      if (active_count_ > 0) {
+        view_->active->FoldProbed(plan, active_count_, scratch);
+      }
+      return lsh::ClampedEstimate(*scratch, collisions);
+    }
+
+    /// Resolve-once walk, S2: the resolved views' live ids, then the logs',
+    /// into *visited — the order CollectCandidates has always used.
+    void GatherResolved(const lsh::ProbePlan& plan,
+                        std::span<const lsh::LshTable::BucketView> views,
+                        util::VisitedSet* visited) const {
+      lsh::GatherResolved(views, visited, tombstones_);
+      for (const auto& log : view_->frozen) {
+        log->GatherProbed(plan, log->size_acquire(), visited, tombstones_);
+      }
+      if (active_count_ > 0) {
+        view_->active->GatherProbed(plan, active_count_, visited,
+                                    tombstones_);
+      }
     }
 
     /// Calls fn(id) for every live id in the snapshot (linear-scan

@@ -232,7 +232,8 @@ class ShardedEngine {
 
   /// Caller-owned scratch for the lock-free QueryConcurrent path: the
   /// global-id dedup set, the merged HLL sketch, the hash-once plan
-  /// workspace, and one cached SegmentSnapshot per shard — re-acquired with two plain
+  /// workspace, the resolved-bucket buffer of the current shard walk, and
+  /// one cached SegmentSnapshot per shard — re-acquired with two plain
   /// atomic loads per query and only refreshed (a shared_ptr copy) when
   /// that shard's segment list actually changed. Create one per reader
   /// thread with MakeQueryScratch(); a scratch must never be used by two
@@ -253,6 +254,7 @@ class ShardedEngine {
     std::vector<ShardView> views;    // per-shard epoch cache
     lsh::PlanScratch plan_scratch;   // hash-once S1 workspace
     lsh::ProbePlan plan;             // the query's plan, shared by all shards
+    std::vector<lsh::LshTable::BucketView> buckets;  // walk's buckets
     util::BitVector filter;          // filter stage: predicate ∧ ¬tombstone
     std::vector<core::ScoredList> sub_lists;  // fused per-subquery results
     std::vector<uint32_t> sub_ids;   // per-(shard, subquery) gather buffer
@@ -1295,8 +1297,10 @@ class ShardedEngine {
   }
 
   /// The paper's Algorithm 2 on one shard over an epoch-published
-  /// snapshot: estimate (summed across the snapshot's segments), decide
-  /// against LinearCost(shard_live_n), execute. The decision is priced
+  /// snapshot: resolve the plan's buckets once (across the snapshot's
+  /// segments), decide against LinearCost(shard_live_n) — estimating
+  /// candSize only when the collision bounds do not decide — and execute
+  /// on the same resolved buckets. The decision is priced
   /// from ONE coherent LiveStats read, so the tombstone correction and
   /// the linear side cannot mix counter values from different instants.
   /// Appends global ids to *out. Lock-free.
@@ -1324,34 +1328,36 @@ class ShardedEngine {
     HLSH_DCHECK(plan != nullptr);
     st->plan_reuse = 1;
 
-    // Alg. 2 lines 1-2 over the snapshot's segments.
-    {
-      util::WallTimer estimate_timer;
-      const auto estimate = snap.EstimateProbe(*plan, &scratch->merged);
-      st->collisions = estimate.collisions;
-      st->cand_estimate = estimate.cand_estimate;
-      st->estimate_seconds = estimate_timer.ElapsedSeconds();
-    }
+    // Resolve once: every probed bucket of the snapshot's segments is looked
+    // up a single time, giving the exact collision count; the estimate and
+    // the gather both read these views.
+    st->collisions = snap.ResolveProbe(*plan, &scratch->buckets);
 
-    // Alg. 2 lines 3-4 with the shard-local live linear cost; tombstoned
-    // ids inflate the estimate, so subtract their verification share, and
-    // a pushdown filter shrinks BOTH sides through the one effective live
-    // fraction (cost_model.h): the linear scan only pays exact distances
-    // on filter survivors, and LSH candidates that fail the bit test stop
-    // before the distance. At low selectivity the model therefore finds
-    // that the filtered linear scan wins.
-    const core::LiveStats live = shard.index->live_stats();
-    st->lsh_cost = model.CorrectedLshCost(st->collisions, st->cand_estimate,
-                                          live, fctx.selectivity);
-    st->linear_cost = model.LinearCost(live.live, fctx.selectivity);
+    // Alg. 2 lines 2-4 with the shard-local live linear cost. Tombstoned
+    // ids inflate the estimate, so the corrected LSH cost discounts their
+    // verification share, and a pushdown filter shrinks BOTH sides through
+    // the one effective live fraction (cost_model.h): the linear scan only
+    // pays exact distances on filter survivors, and LSH candidates that
+    // fail the bit test stop before the distance. At low selectivity the
+    // model therefore finds that the filtered linear scan wins. The HLL
+    // merge runs only when the collision bounds leave the decision open.
+    util::WallTimer estimate_timer;
+    const core::StrategyDecision decision = core::DecideStrategy(
+        model, st->collisions, shard.index->live_stats(), fctx.selectivity,
+        [&] {
+          return snap.EstimateResolved(*plan, scratch->buckets,
+                                       st->collisions, &scratch->merged);
+        });
+    st->estimate_seconds = estimate_timer.ElapsedSeconds();
+    core::NoteDecision(decision, st);
     const bool use_lsh =
         options_.searcher.forced == core::ForcedStrategy::kAlwaysLsh ||
-        st->lsh_cost < st->linear_cost;
+        decision.use_lsh;
 
     if (use_lsh) {
       st->strategy = core::Strategy::kLsh;
       scratch->visited.Reset();
-      st->collisions = snap.CollectCandidates(*plan, &scratch->visited);
+      snap.GatherResolved(*plan, scratch->buckets, &scratch->visited);
       st->cand_actual = scratch->visited.size();
       st->output_size += core::kernels::VerifyCandidatesQuantized(
           *shard.index, *dataset_, mirror_.get(), query,
@@ -1504,6 +1510,7 @@ class ShardedEngine {
   static void AccumulateShardStats(const core::QueryStats& sub,
                                    core::QueryStats* total) {
     total->strategy = sub.strategy;
+    total->estimate_skipped = sub.estimate_skipped;
     total->collisions += sub.collisions;
     total->cand_estimate += sub.cand_estimate;
     total->cand_actual += sub.cand_actual;

@@ -107,7 +107,7 @@ CoveringLshIndex::ProbeEstimate CoveringLshIndex::EstimateProbe(
       for (uint32_t id : bucket.ids) scratch->AddPoint(id);
     }
   }
-  estimate.cand_estimate = estimate.collisions == 0 ? 0.0 : scratch->Estimate();
+  estimate.cand_estimate = ClampedEstimate(*scratch, estimate.collisions);
   return estimate;
 }
 

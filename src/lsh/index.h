@@ -6,20 +6,26 @@
 // three LSH steps separately so that the hybrid layer (core/) can run the
 // cost estimate before deciding to execute:
 //
-//   S1  QueryKeys / QueryKeysMultiProbe — hash the query into bucket keys;
-//   (estimate)  EstimateProbe — #collisions exactly + candSize via merged
-//       HLLs (paper Alg. 2 lines 1-2), in O(mL) plus small-bucket folding;
-//   S2  CollectCandidates — dedup bucket contents into a VisitedSet;
+//   S1  ComputePlan — hash the query once into a ProbePlan of bucket keys
+//       (QueryKeys / QueryKeysMultiProbe are the legacy key-buffer form);
+//   (resolve)  ResolveProbe — look every probed bucket up once, yielding
+//       BucketViews and #collisions exactly;
+//   (estimate)  EstimateResolved — candSize via the views' merged HLLs
+//       (paper Alg. 2 lines 1-2), in O(mL) plus small-bucket folding,
+//       capped at #collisions;
+//   S2  GatherResolved — dedup the views' ids into a VisitedSet;
 //   S3  (caller) verify candidate distances and report.
+// EstimateProbe and CollectCandidates are the one-call forms (resolve, then
+// estimate or gather).
 //
 // The sampled hash functions and the probe arithmetic are factored into
 // FunctionSet<Family> so that several table sets can share one draw of
 // functions: LshIndex owns one FunctionSet and one set of L tables, while
 // engine::SegmentedIndex owns one FunctionSet and *many* table sets (the
-// sealed and active segments of its LSM-style lifecycle). The estimate and
-// collect steps are likewise free functions over any table range
-// (AccumulateProbe / CollectProbedIds) so segments of either table kind sum
-// into one decision.
+// sealed segments of its LSM-style lifecycle). The resolve, estimate and
+// gather steps are likewise free functions over any table range
+// (ResolveProbe / MergeResolved / GatherResolved) so segments sum into one
+// decision.
 //
 // The template parameter Family supplies the point type, the atomic hash
 // sampler, the paired metric, and multi-probe costs (see lsh/families.h).
@@ -608,11 +614,11 @@ inline bool IsRepeatedProbe(std::span<const uint64_t> keys, size_t table_begin,
 /// Accumulates one table range's contribution to the Alg. 2 estimate:
 /// adds the probed buckets' sizes to *collisions and merges (or folds)
 /// their sketches into *scratch, which is NOT cleared — callers sum several
-/// segments into one estimate. Table may be LshTable or DynamicLshTable.
-template <typename Table>
-void AccumulateProbe(std::span<const Table> tables,
-                     std::span<const uint64_t> keys, hll::HyperLogLog* scratch,
-                     uint64_t* collisions) {
+/// segments into one estimate. This is the legacy key-buffer walk; plan
+/// walks go through ResolveProbe below.
+inline void AccumulateProbe(std::span<const LshTable> tables,
+                            std::span<const uint64_t> keys,
+                            hll::HyperLogLog* scratch, uint64_t* collisions) {
   const size_t probes_per_table = keys.size() / tables.size();
   for (size_t i = 0; i < keys.size(); ++i) {
     const size_t t = i / probes_per_table;
@@ -632,15 +638,13 @@ void AccumulateProbe(std::span<const Table> tables,
 /// S2 over one table range: dedups every probed id into *visited, whose
 /// touched() list then IS the flat candidate buffer block verification
 /// consumes (core/kernels.h), and returns the exact number of collisions.
-/// Bucket ids are bulk-inserted with the dedup bits prefetched ahead of
-/// the probe loop. Ids whose `tombstones` bit is set are counted as
-/// collisions (the probe cost was paid) but not inserted, so deleted
-/// points never reach verification.
-template <typename Table>
-uint64_t CollectProbedIds(std::span<const Table> tables,
-                          std::span<const uint64_t> keys,
-                          util::VisitedSet* visited,
-                          const util::BitVector* tombstones = nullptr) {
+/// Ids whose `tombstones` bit is set are counted as collisions (the probe
+/// cost was paid) but not inserted, so deleted points never reach
+/// verification. Legacy key-buffer walk, like AccumulateProbe.
+inline uint64_t CollectProbedIds(std::span<const LshTable> tables,
+                                 std::span<const uint64_t> keys,
+                                 util::VisitedSet* visited,
+                                 const util::BitVector* tombstones = nullptr) {
   uint64_t collisions = 0;
   const size_t probes_per_table = keys.size() / tables.size();
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -657,85 +661,77 @@ uint64_t CollectProbedIds(std::span<const Table> tables,
   return collisions;
 }
 
-// --- Plan-based probe walks. ------------------------------------------------
-// The ProbePlan forms of AccumulateProbe / CollectProbedIds: per-table keys
-// are already unique (no IsRepeatedProbe rescans), and the walk is windowed —
-// a batch of bucket views is resolved and its id/sketch storage prefetched
-// before any bucket is consumed, hiding the dependent-load latency of the
-// bucket lookups behind the HLL merges and dedup inserts.
+// --- Resolve-once plan walks. -----------------------------------------------
+// A walk over a ProbePlan resolves each probed bucket exactly once: ResolveProbe
+// turns the plan's keys into BucketViews and the exact collision count, and
+// the two consumers — the Alg. 2 estimate (MergeResolved) and the S2 gather
+// (GatherResolved) — both read those views. The decision between them needs
+// only the collision count, so a walk the collision bounds already decide
+// never merges a sketch (core::DecideStrategy).
 
-namespace internal {
-/// Buckets resolved (and prefetched) ahead of consumption in one window.
-inline constexpr size_t kProbeWindow = 8;
-
-inline void PrefetchBucket(const LshTable::BucketView& bucket) {
-  if (bucket.empty()) return;
-  __builtin_prefetch(bucket.ids.data());
-  if (bucket.sketch != nullptr) __builtin_prefetch(bucket.sketch);
-}
-}  // namespace internal
-
-/// AccumulateProbe over a precomputed plan (see the keys form above for the
-/// contract: *scratch is NOT cleared, segments sum into one estimate).
-template <typename Table>
-void AccumulateProbe(std::span<const Table> tables, const ProbePlan& plan,
-                     hll::HyperLogLog* scratch, uint64_t* collisions) {
+/// Resolves the plan's probe keys against one table range, appending every
+/// non-empty bucket to *views (NOT cleared — segments append into one
+/// buffer) in (table, probe) order, and returns the exact number of
+/// collisions. All directory slots are prefetched before the first lookup,
+/// and each bucket's ids and sketch as it resolves, so the dependent loads
+/// overlap instead of queueing.
+inline uint64_t ResolveProbe(std::span<const LshTable> tables,
+                             const ProbePlan& plan,
+                             std::vector<LshTable::BucketView>* views) {
   HLSH_DCHECK(plan.num_tables() == tables.size());
-  LshTable::BucketView window[internal::kProbeWindow];
   for (size_t t = 0; t < tables.size(); ++t) {
-    const std::span<const uint64_t> keys = plan.TableKeys(t);
-    for (size_t base = 0; base < keys.size();
-         base += internal::kProbeWindow) {
-      const size_t n = std::min(internal::kProbeWindow, keys.size() - base);
-      for (size_t w = 0; w < n; ++w) {
-        window[w] = tables[t].Lookup(keys[base + w]);
-        internal::PrefetchBucket(window[w]);
-      }
-      for (size_t w = 0; w < n; ++w) {
-        const LshTable::BucketView& bucket = window[w];
-        if (bucket.empty()) continue;
-        *collisions += bucket.size();
-        if (bucket.sketch != nullptr) {
-          HLSH_CHECK(scratch->Merge(*bucket.sketch).ok());
-        } else {
-          // Small bucket: fold ids on demand (paper §3.2).
-          for (uint32_t id : bucket.ids) scratch->AddPoint(id);
-        }
-      }
-    }
+    for (const uint64_t key : plan.TableKeys(t)) tables[t].PrefetchSlot(key);
   }
-}
-
-/// CollectProbedIds over a precomputed plan (see the keys form above).
-template <typename Table>
-uint64_t CollectProbedIds(std::span<const Table> tables, const ProbePlan& plan,
-                          util::VisitedSet* visited,
-                          const util::BitVector* tombstones = nullptr) {
-  HLSH_DCHECK(plan.num_tables() == tables.size());
   uint64_t collisions = 0;
-  LshTable::BucketView window[internal::kProbeWindow];
   for (size_t t = 0; t < tables.size(); ++t) {
-    const std::span<const uint64_t> keys = plan.TableKeys(t);
-    for (size_t base = 0; base < keys.size();
-         base += internal::kProbeWindow) {
-      const size_t n = std::min(internal::kProbeWindow, keys.size() - base);
-      for (size_t w = 0; w < n; ++w) {
-        window[w] = tables[t].Lookup(keys[base + w]);
-        internal::PrefetchBucket(window[w]);
-      }
-      for (size_t w = 0; w < n; ++w) {
-        const LshTable::BucketView& bucket = window[w];
-        collisions += bucket.size();
-        if (tombstones == nullptr) {
-          visited->InsertSpan(bucket.ids);
-        } else {
-          visited->InsertSpanFiltered(bucket.ids, *tombstones);
-        }
-      }
+    for (const uint64_t key : plan.TableKeys(t)) {
+      const LshTable::BucketView bucket = tables[t].Lookup(key);
+      if (bucket.empty()) continue;
+      __builtin_prefetch(bucket.ids.data());
+      if (bucket.sketch != nullptr) __builtin_prefetch(bucket.sketch);
+      collisions += bucket.size();
+      views->push_back(bucket);
     }
   }
   return collisions;
 }
+
+/// The estimate half of a resolved walk: merges the views' sketches (or
+/// folds small buckets' ids, paper §3.2) into *scratch, which is NOT
+/// cleared.
+inline void MergeResolved(std::span<const LshTable::BucketView> views,
+                          hll::HyperLogLog* scratch) {
+  for (const LshTable::BucketView& bucket : views) {
+    if (bucket.sketch != nullptr) {
+      HLSH_CHECK(scratch->Merge(*bucket.sketch).ok());
+    } else {
+      for (const uint32_t id : bucket.ids) scratch->AddPoint(id);
+    }
+  }
+}
+
+/// The S2 half of a resolved walk: dedups the views' ids into *visited in
+/// view order, skipping ids whose `tombstones` bit is set.
+inline void GatherResolved(std::span<const LshTable::BucketView> views,
+                           util::VisitedSet* visited,
+                           const util::BitVector* tombstones = nullptr) {
+  for (const LshTable::BucketView& bucket : views) {
+    if (tombstones == nullptr) {
+      visited->InsertSpan(bucket.ids);
+    } else {
+      visited->InsertSpanFiltered(bucket.ids, *tombstones);
+    }
+  }
+}
+
+namespace internal {
+/// Per-thread view buffer for the one-call EstimateProbe / CollectCandidates
+/// plan forms, so they allocate nothing in steady state.
+inline std::vector<LshTable::BucketView>& ThreadViews() {
+  thread_local std::vector<LshTable::BucketView> views;
+  return views;
+}
+}  // namespace internal
 
 /// Classic LSH index over a Family (see file comment).
 template <typename Family>
@@ -864,31 +860,31 @@ class LshIndex {
     return functions_.ComputePlan(query, probes_per_table, scratch, plan);
   }
 
-  /// Estimates #collisions (exact) and candSize (merged HLLs) for a set of
-  /// probe keys produced by QueryKeys*. `scratch` must have the index's HLL
-  /// precision; it is cleared first. Paper Alg. 2, lines 1-2. The sketch
-  /// merges and the final estimate run on the dispatched SIMD register
-  /// kernels (util/simd.h: byte-max merge, fused sum-of-2^-M + zero count).
+  /// Estimates #collisions (exact) and candSize (merged HLLs, capped at
+  /// the collisions) for a set of probe keys produced by QueryKeys*.
+  /// `scratch` must have the index's HLL precision; it is cleared first.
+  /// Paper Alg. 2, lines 1-2. The sketch merges and the final estimate run
+  /// on the dispatched SIMD register kernels (util/simd.h: byte-max merge,
+  /// fused sum-of-2^-M + zero count).
   ProbeEstimate EstimateProbe(std::span<const uint64_t> keys,
                               hll::HyperLogLog* scratch) const {
     HLSH_DCHECK(scratch->precision() == options_.hll_precision);
     scratch->Clear();
     ProbeEstimate estimate;
-    AccumulateProbe<LshTable>(tables_, keys, scratch, &estimate.collisions);
-    estimate.cand_estimate =
-        estimate.collisions == 0 ? 0.0 : scratch->Estimate();
+    AccumulateProbe(tables_, keys, scratch, &estimate.collisions);
+    estimate.cand_estimate = ClampedEstimate(*scratch, estimate.collisions);
     return estimate;
   }
 
-  /// EstimateProbe over a precomputed plan (hash-once path).
+  /// EstimateProbe over a precomputed plan (hash-once path): ResolveProbe
+  /// then EstimateResolved.
   ProbeEstimate EstimateProbe(const ProbePlan& plan,
                               hll::HyperLogLog* scratch) const {
-    HLSH_DCHECK(scratch->precision() == options_.hll_precision);
-    scratch->Clear();
+    std::vector<LshTable::BucketView>& views = internal::ThreadViews();
     ProbeEstimate estimate;
-    AccumulateProbe<LshTable>(tables_, plan, scratch, &estimate.collisions);
+    estimate.collisions = ResolveProbe(plan, &views);
     estimate.cand_estimate =
-        estimate.collisions == 0 ? 0.0 : scratch->Estimate();
+        EstimateResolved(views, estimate.collisions, scratch);
     return estimate;
   }
 
@@ -897,13 +893,42 @@ class LshIndex {
   /// distinct candidate set for S3.
   uint64_t CollectCandidates(std::span<const uint64_t> keys,
                              util::VisitedSet* visited) const {
-    return CollectProbedIds<LshTable>(tables_, keys, visited);
+    return CollectProbedIds(tables_, keys, visited);
   }
 
-  /// S2 over a precomputed plan (hash-once path).
+  /// S2 over a precomputed plan (hash-once path): ResolveProbe then
+  /// GatherResolved.
   uint64_t CollectCandidates(const ProbePlan& plan,
                              util::VisitedSet* visited) const {
-    return CollectProbedIds<LshTable>(tables_, plan, visited);
+    std::vector<LshTable::BucketView>& views = internal::ThreadViews();
+    const uint64_t collisions = ResolveProbe(plan, &views);
+    GatherResolved(views, visited);
+    return collisions;
+  }
+
+  /// Resolve-once walk, step 1: the plan's non-empty buckets into *views
+  /// (cleared first) and the exact collision count (see lsh::ResolveProbe).
+  uint64_t ResolveProbe(const ProbePlan& plan,
+                        std::vector<LshTable::BucketView>* views) const {
+    views->clear();
+    return lsh::ResolveProbe(tables_, plan, views);
+  }
+
+  /// Resolve-once walk, estimate: candSize from the resolved views
+  /// (`scratch` is cleared first), capped at `collisions`.
+  double EstimateResolved(std::span<const LshTable::BucketView> views,
+                          uint64_t collisions,
+                          hll::HyperLogLog* scratch) const {
+    HLSH_DCHECK(scratch->precision() == options_.hll_precision);
+    scratch->Clear();
+    MergeResolved(views, scratch);
+    return ClampedEstimate(*scratch, collisions);
+  }
+
+  /// Resolve-once walk, S2: the resolved views' ids into *visited.
+  void GatherResolved(std::span<const LshTable::BucketView> views,
+                      util::VisitedSet* visited) const {
+    lsh::GatherResolved(views, visited);
   }
 
   /// Bucket access for inspection and tests.

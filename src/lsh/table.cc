@@ -6,25 +6,94 @@
 namespace hybridlsh {
 namespace lsh {
 
+namespace {
+
+size_t ResolveThreshold(const LshTable::Options& options) {
+  return options.small_bucket_threshold == LshTable::kThresholdAuto
+             ? static_cast<size_t>(1) << options.hll_precision
+             : options.small_bucket_threshold;
+}
+
+}  // namespace
+
+void LshTable::Reset(size_t num_buckets) {
+  ids_.clear();
+  sketch_begins_.clear();
+  sketches_.clear();
+  min_sketched_size_ = UINT32_MAX;
+  max_bucket_size_ = 0;
+  num_buckets_ = 0;
+  // Smallest power of two keeping the load factor at most 0.8; a non-empty
+  // directory therefore always holds an empty slot, which ends every probe
+  // run.
+  size_t capacity = 0;
+  if (num_buckets > 0) {
+    capacity = 2;
+    while (capacity * 4 < num_buckets * 5) capacity *= 2;
+  }
+  slots_.assign(capacity, Slot{});
+  mask_ = capacity == 0 ? 0 : capacity - 1;
+}
+
+bool LshTable::InsertSlot(uint64_t key, uint32_t begin, uint32_t count) {
+  HLSH_DCHECK(count > 0 && num_buckets_ < slots_.size());
+  size_t i = HomeSlot(key);
+  while (slots_[i].count != 0) {
+    if (slots_[i].key == key) return false;
+    i = (i + 1) & mask_;
+  }
+  slots_[i] = Slot{key, begin, count};
+  ++num_buckets_;
+  max_bucket_size_ = std::max<size_t>(max_bucket_size_, count);
+  return true;
+}
+
+void LshTable::AddSketch(uint32_t begin, uint32_t count,
+                         hll::HyperLogLog sketch) {
+  sketch_begins_.push_back(begin);
+  sketches_.push_back(std::move(sketch));
+  min_sketched_size_ = std::min(min_sketched_size_, count);
+}
+
+template <typename KeyAt, typename IdAt>
+void LshTable::BuildSorted(size_t n, KeyAt key_at, IdAt id_at,
+                           const Options& options) {
+  HLSH_CHECK(n <= UINT32_MAX);
+  size_t num_buckets = 0;
+  for (size_t j = 0; j < n; ++j) {
+    num_buckets += j == 0 || key_at(j) != key_at(j - 1);
+  }
+  Reset(num_buckets);
+  const size_t threshold = ResolveThreshold(options);
+
+  ids_.resize(n);
+  size_t i = 0;
+  while (i < n) {
+    const uint64_t key = key_at(i);
+    const size_t begin = i;
+    for (; i < n && key_at(i) == key; ++i) ids_[i] = id_at(i);
+    const size_t bucket_size = i - begin;
+    HLSH_CHECK(InsertSlot(key, static_cast<uint32_t>(begin),
+                          static_cast<uint32_t>(bucket_size)));
+
+    // Materialize a sketch only for large buckets (paper §3.2 trick).
+    if (bucket_size >= threshold) {
+      hll::HyperLogLog sketch(options.hll_precision);
+      for (size_t j = begin; j < i; ++j) sketch.AddPoint(ids_[j]);
+      AddSketch(static_cast<uint32_t>(begin),
+                static_cast<uint32_t>(bucket_size), std::move(sketch));
+    }
+  }
+}
+
 void LshTable::Build(std::span<const uint64_t> keys, const Options& options) {
   // Kept separate from BuildFromEntries: here ids are the contiguous range
   // id_base + i, so the sort can tie-break on the order index directly and
   // no id array needs materializing — this is the hot per-table path of
   // every static index build.
-  bucket_index_.clear();
-  offsets_.clear();
-  ids_.clear();
-  sketch_of_bucket_.clear();
-  sketches_.clear();
-  max_bucket_size_ = 0;
-
   const size_t n = keys.size();
   HLSH_CHECK(static_cast<uint64_t>(options.id_base) + n <=
              static_cast<uint64_t>(UINT32_MAX) + 1);
-  const size_t m = static_cast<size_t>(1) << options.hll_precision;
-  const size_t threshold = options.small_bucket_threshold == kThresholdAuto
-                               ? m
-                               : options.small_bucket_threshold;
 
   // Sort point ids by bucket key to group buckets contiguously.
   std::vector<uint32_t> order(n);
@@ -32,52 +101,16 @@ void LshTable::Build(std::span<const uint64_t> keys, const Options& options) {
   std::sort(order.begin(), order.end(), [&keys](uint32_t a, uint32_t b) {
     return keys[a] < keys[b] || (keys[a] == keys[b] && a < b);
   });
-
-  ids_.reserve(n);
-  offsets_.push_back(0);
-  size_t i = 0;
-  while (i < n) {
-    const uint64_t key = keys[order[i]];
-    const size_t begin = i;
-    while (i < n && keys[order[i]] == key) ++i;
-    const size_t bucket_size = i - begin;
-
-    const uint32_t ordinal = static_cast<uint32_t>(offsets_.size() - 1);
-    bucket_index_.emplace(key, ordinal);
-    for (size_t j = begin; j < i; ++j)
-      ids_.push_back(options.id_base + order[j]);
-    offsets_.push_back(ids_.size());
-    max_bucket_size_ = std::max(max_bucket_size_, bucket_size);
-
-    // Materialize a sketch only for large buckets (paper §3.2 trick).
-    if (bucket_size >= threshold) {
-      hll::HyperLogLog sketch(options.hll_precision);
-      for (size_t j = begin; j < i; ++j)
-        sketch.AddPoint(options.id_base + order[j]);
-      sketch_of_bucket_.push_back(static_cast<int32_t>(sketches_.size()));
-      sketches_.push_back(std::move(sketch));
-    } else {
-      sketch_of_bucket_.push_back(-1);
-    }
-  }
+  BuildSorted(
+      n, [&](size_t j) { return keys[order[j]]; },
+      [&](size_t j) { return options.id_base + order[j]; }, options);
 }
 
 void LshTable::BuildFromEntries(std::span<const uint64_t> keys,
                                 std::span<const uint32_t> ids,
                                 const Options& options) {
   HLSH_CHECK(keys.size() == ids.size());
-  bucket_index_.clear();
-  offsets_.clear();
-  ids_.clear();
-  sketch_of_bucket_.clear();
-  sketches_.clear();
-  max_bucket_size_ = 0;
-
   const size_t n = keys.size();
-  const size_t m = static_cast<size_t>(1) << options.hll_precision;
-  const size_t threshold = options.small_bucket_threshold == kThresholdAuto
-                               ? m
-                               : options.small_bucket_threshold;
 
   // Sort entries by bucket key to group buckets contiguously; break ties by
   // id so the layout is independent of the input entry order.
@@ -86,74 +119,30 @@ void LshTable::BuildFromEntries(std::span<const uint64_t> keys,
   std::sort(order.begin(), order.end(), [&keys, &ids](uint32_t a, uint32_t b) {
     return keys[a] < keys[b] || (keys[a] == keys[b] && ids[a] < ids[b]);
   });
-
-  ids_.reserve(n);
-  offsets_.push_back(0);
-  size_t i = 0;
-  while (i < n) {
-    const uint64_t key = keys[order[i]];
-    const size_t begin = i;
-    while (i < n && keys[order[i]] == key) ++i;
-    const size_t bucket_size = i - begin;
-
-    const uint32_t ordinal = static_cast<uint32_t>(offsets_.size() - 1);
-    bucket_index_.emplace(key, ordinal);
-    for (size_t j = begin; j < i; ++j) ids_.push_back(ids[order[j]]);
-    offsets_.push_back(ids_.size());
-    max_bucket_size_ = std::max(max_bucket_size_, bucket_size);
-
-    // Materialize a sketch only for large buckets (paper §3.2 trick).
-    if (bucket_size >= threshold) {
-      hll::HyperLogLog sketch(options.hll_precision);
-      for (size_t j = begin; j < i; ++j) sketch.AddPoint(ids[order[j]]);
-      sketch_of_bucket_.push_back(static_cast<int32_t>(sketches_.size()));
-      sketches_.push_back(std::move(sketch));
-    } else {
-      sketch_of_bucket_.push_back(-1);
-    }
-  }
+  BuildSorted(
+      n, [&](size_t j) { return keys[order[j]]; },
+      [&](size_t j) { return ids[order[j]]; }, options);
 }
 
 void LshTable::ExportEntries(std::vector<uint64_t>* keys,
                              std::vector<uint32_t>* ids,
                              const util::BitVector* tombstones) const {
-  const size_t num_buckets = offsets_.empty() ? 0 : offsets_.size() - 1;
-  std::vector<uint64_t> key_of_ordinal(num_buckets, 0);
-  for (const auto& [key, ordinal] : bucket_index_) key_of_ordinal[ordinal] = key;
-  for (size_t b = 0; b < num_buckets; ++b) {
-    for (size_t j = offsets_[b]; j < offsets_[b + 1]; ++j) {
+  for (const Slot& slot : slots_) {
+    for (uint32_t j = slot.begin; j < slot.begin + slot.count; ++j) {
       const uint32_t id = ids_[j];
       if (tombstones != nullptr && id < tombstones->size() &&
           tombstones->Get(id)) {
         continue;
       }
-      keys->push_back(key_of_ordinal[b]);
+      keys->push_back(slot.key);
       ids->push_back(id);
     }
   }
 }
 
-LshTable::BucketView LshTable::Lookup(uint64_t key) const {
-  const auto it = bucket_index_.find(key);
-  if (it == bucket_index_.end()) return BucketView{};
-  const uint32_t ordinal = it->second;
-  BucketView view;
-  view.ids = {ids_.data() + offsets_[ordinal],
-              offsets_[ordinal + 1] - offsets_[ordinal]};
-  const int32_t sketch_idx = sketch_of_bucket_[ordinal];
-  view.sketch = sketch_idx >= 0 ? &sketches_[static_cast<size_t>(sketch_idx)]
-                                : nullptr;
-  return view;
-}
-
 size_t LshTable::MemoryBytes() const {
-  size_t total = ids_.size() * sizeof(uint32_t) +
-                 offsets_.size() * sizeof(size_t) +
-                 sketch_of_bucket_.size() * sizeof(int32_t) +
-                 bucket_index_.size() *
-                     (sizeof(uint64_t) + sizeof(uint32_t) + sizeof(void*));
-  total += SketchBytes();
-  return total;
+  return ids_.size() * sizeof(uint32_t) + slots_.size() * sizeof(Slot) +
+         sketch_begins_.size() * sizeof(uint32_t) + SketchBytes();
 }
 
 size_t LshTable::SketchBytes() const {
@@ -163,23 +152,39 @@ size_t LshTable::SketchBytes() const {
 }
 
 void LshTable::Serialize(util::ByteWriter* writer) const {
-  const size_t num_buckets = offsets_.empty() ? 0 : offsets_.size() - 1;
-  writer->WriteU64(num_buckets);
+  // Buckets in ordinal order, which is ascending `begin`.
+  std::vector<Slot> buckets;
+  buckets.reserve(num_buckets_);
+  for (const Slot& slot : slots_) {
+    if (slot.count != 0) buckets.push_back(slot);
+  }
+  std::sort(buckets.begin(), buckets.end(),
+            [](const Slot& a, const Slot& b) { return a.begin < b.begin; });
+
+  std::vector<uint64_t> keys;
+  std::vector<size_t> offsets;
+  std::vector<int32_t> sketch_of_bucket;
+  keys.reserve(buckets.size());
+  offsets.reserve(buckets.size() + 1);
+  sketch_of_bucket.reserve(buckets.size());
+  size_t next_sketch = 0;
+  for (const Slot& slot : buckets) {
+    keys.push_back(slot.key);
+    offsets.push_back(slot.begin);
+    const bool sketched = next_sketch < sketch_begins_.size() &&
+                          sketch_begins_[next_sketch] == slot.begin;
+    sketch_of_bucket.push_back(
+        sketched ? static_cast<int32_t>(next_sketch++) : -1);
+  }
+  offsets.push_back(ids_.size());
+
+  writer->WriteU64(buckets.size());
   writer->WriteU64(ids_.size());
   writer->WriteU64(max_bucket_size_);
-
-  // Bucket keys in ordinal order (inverted from the lookup map).
-  std::vector<uint64_t> keys(num_buckets, 0);
-  for (const auto& [key, ordinal] : bucket_index_) keys[ordinal] = key;
   writer->WriteArray<uint64_t>(keys);
-  if (offsets_.empty()) {
-    // Never-built table: normalize to the canonical empty CSR.
-    writer->WriteArray<size_t>(std::vector<size_t>{0});
-  } else {
-    writer->WriteArray<size_t>(offsets_);
-  }
+  writer->WriteArray<size_t>(offsets);
   writer->WriteArray<uint32_t>(ids_);
-  writer->WriteArray<int32_t>(sketch_of_bucket_);
+  writer->WriteArray<int32_t>(sketch_of_bucket);
 
   writer->WriteU64(sketches_.size());
   for (const auto& sketch : sketches_) {
@@ -188,80 +193,77 @@ void LshTable::Serialize(util::ByteWriter* writer) const {
 }
 
 util::StatusOr<LshTable> LshTable::Deserialize(util::ByteReader* reader) {
-  LshTable table;
   uint64_t num_buckets = 0, num_ids = 0, max_bucket = 0;
   HLSH_RETURN_IF_ERROR(reader->ReadU64(&num_buckets));
   HLSH_RETURN_IF_ERROR(reader->ReadU64(&num_ids));
   HLSH_RETURN_IF_ERROR(reader->ReadU64(&max_bucket));
-  table.max_bucket_size_ = max_bucket;
 
   std::vector<uint64_t> keys;
+  std::vector<size_t> offsets;
+  std::vector<int32_t> sketch_of_bucket;
   HLSH_RETURN_IF_ERROR(reader->ReadArray<uint64_t>(num_buckets, &keys));
+  HLSH_RETURN_IF_ERROR(reader->ReadArray<size_t>(
+      num_buckets == 0 ? 1 : num_buckets + 1, &offsets));
+  std::vector<uint32_t> ids;
+  HLSH_RETURN_IF_ERROR(reader->ReadArray<uint32_t>(num_ids, &ids));
   HLSH_RETURN_IF_ERROR(
-      reader->ReadArray<size_t>(num_buckets == 0 ? 1 : num_buckets + 1,
-                                &table.offsets_));
-  HLSH_RETURN_IF_ERROR(reader->ReadArray<uint32_t>(num_ids, &table.ids_));
-  HLSH_RETURN_IF_ERROR(
-      reader->ReadArray<int32_t>(num_buckets, &table.sketch_of_bucket_));
+      reader->ReadArray<int32_t>(num_buckets, &sketch_of_bucket));
 
-  // Validate CSR structure.
-  if (table.offsets_.front() != 0 || table.offsets_.back() != num_ids) {
+  // Validate the bucket layout: offsets bracket the ids and every bucket
+  // holds at least one id (an empty bucket has no directory encoding).
+  if (num_ids > UINT32_MAX) {
+    return util::Status::DataLoss("table holds more than 2^32-1 ids");
+  }
+  if (offsets.front() != 0 || offsets.back() != num_ids) {
     return util::Status::DataLoss("table offsets do not bracket the ids");
   }
-  for (size_t b = 1; b < table.offsets_.size(); ++b) {
-    if (table.offsets_[b] < table.offsets_[b - 1]) {
+  for (size_t b = 1; b < offsets.size(); ++b) {
+    if (offsets[b] < offsets[b - 1]) {
       return util::Status::DataLoss("table offsets are not monotone");
+    }
+    if (offsets[b] == offsets[b - 1]) {
+      return util::Status::DataLoss("table has an empty bucket");
     }
   }
 
   uint64_t num_sketches = 0;
   HLSH_RETURN_IF_ERROR(reader->ReadU64(&num_sketches));
-  table.sketches_.reserve(num_sketches);
+  std::vector<hll::HyperLogLog> sketches;
+  sketches.reserve(num_sketches);
   std::vector<uint8_t> blob;
   for (uint64_t s = 0; s < num_sketches; ++s) {
     HLSH_RETURN_IF_ERROR(reader->ReadBlob(&blob));
     auto sketch = hll::HyperLogLog::Deserialize(blob);
     if (!sketch.ok()) return sketch.status();
-    table.sketches_.push_back(std::move(*sketch));
-  }
-  for (int32_t index : table.sketch_of_bucket_) {
-    if (index >= 0 && static_cast<uint64_t>(index) >= num_sketches) {
-      return util::Status::DataLoss("sketch index out of range");
-    }
+    sketches.push_back(std::move(*sketch));
   }
 
-  table.bucket_index_.reserve(num_buckets);
-  for (uint64_t b = 0; b < num_buckets; ++b) {
-    if (!table.bucket_index_.emplace(keys[b], static_cast<uint32_t>(b)).second) {
+  // Rebuild the directory. Serialize numbers sketches in bucket order, so
+  // the j-th sketched bucket must name sketch j and every sketch must be
+  // used; anything else is not a table Serialize wrote.
+  LshTable table;
+  table.Reset(num_buckets);
+  table.ids_ = std::move(ids);
+  for (size_t b = 0; b < num_buckets; ++b) {
+    const auto begin = static_cast<uint32_t>(offsets[b]);
+    const auto count = static_cast<uint32_t>(offsets[b + 1] - offsets[b]);
+    if (!table.InsertSlot(keys[b], begin, count)) {
       return util::Status::DataLoss("duplicate bucket key");
     }
-  }
-  return table;
-}
-
-void DynamicLshTable::ExportEntries(std::vector<uint64_t>* keys,
-                                    std::vector<uint32_t>* ids,
-                                    const util::BitVector* tombstones) const {
-  for (const auto& [key, bucket] : buckets_) {
-    for (const uint32_t id : bucket) {
-      if (tombstones != nullptr && id < tombstones->size() &&
-          tombstones->Get(id)) {
-        continue;
-      }
-      keys->push_back(key);
-      ids->push_back(id);
+    const int32_t index = sketch_of_bucket[b];
+    if (index < 0) continue;
+    if (static_cast<size_t>(index) != table.sketches_.size() ||
+        static_cast<uint64_t>(index) >= num_sketches) {
+      return util::Status::DataLoss("sketch index out of range");
     }
+    table.AddSketch(begin, count,
+                    std::move(sketches[static_cast<size_t>(index)]));
   }
-}
-
-size_t DynamicLshTable::MemoryBytes() const {
-  size_t total = buckets_.size() *
-                 (sizeof(uint64_t) + sizeof(std::vector<uint32_t>) +
-                  sizeof(void*));
-  for (const auto& [key, bucket] : buckets_) {
-    total += bucket.capacity() * sizeof(uint32_t);
+  if (table.sketches_.size() != num_sketches) {
+    return util::Status::DataLoss("table has unreferenced sketches");
   }
-  return total;
+  table.max_bucket_size_ = max_bucket;
+  return table;
 }
 
 }  // namespace lsh

@@ -11,16 +11,24 @@
 // size) hashing but saves m bytes per small bucket. The threshold defaults
 // to m (the register count), the break-even point the paper suggests.
 //
-// Storage is CSR-style: ids grouped by bucket in one contiguous array, so a
-// table adds O(n) ids + O(#buckets) index entries + sketches only for big
-// buckets.
+// Storage: the ids of every bucket sit contiguously in one array, grouped
+// by ascending bucket key. A flat bucket directory maps keys to buckets: one
+// power-of-two array of {key, begin, count} slots, open-addressed with
+// linear probing at a load factor of at most 0.8 (count == 0 marks an empty
+// slot). Keys are already avalanched hashes, so a key's home slot is its
+// low bits. Resolving a probe is one slot load (plus a short probe run)
+// followed by the ids themselves — no node chasing — and a walk can
+// prefetch every slot it will touch before reading any (PrefetchSlot). Only
+// buckets of at least the threshold carry a sketch; a bucket's sketch is
+// found by binary search over the sketched buckets' `begin`s, which only
+// runs for buckets at least as large as the smallest sketched one.
 
 #ifndef HYBRIDLSH_LSH_TABLE_H_
 #define HYBRIDLSH_LSH_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "hll/hyperloglog.h"
@@ -68,6 +76,8 @@ class LshTable {
   /// Appends every (bucket key, id) pair of the table to *keys / *ids,
   /// skipping ids whose `tombstones` bit is set (pass nullptr to keep
   /// everything). The inverse of BuildFromEntries, used by compaction.
+  /// Buckets come out in directory order, not key order — BuildFromEntries
+  /// sorts its input anyway.
   void ExportEntries(std::vector<uint64_t>* keys, std::vector<uint32_t>* ids,
                      const util::BitVector* tombstones = nullptr) const;
 
@@ -82,80 +92,100 @@ class LshTable {
   };
 
   /// Looks up the bucket for a key; returns an empty view when absent.
-  BucketView Lookup(uint64_t key) const;
+  BucketView Lookup(uint64_t key) const {
+    if (slots_.empty()) return BucketView{};
+    for (size_t i = HomeSlot(key);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.count == 0) return BucketView{};
+      if (slot.key == key) {
+        return BucketView{{ids_.data() + slot.begin, slot.count},
+                          SketchOf(slot)};
+      }
+    }
+  }
+
+  /// Prefetches the directory slot a Lookup of `key` starts at, so a walk
+  /// can issue every probe's slot load before resolving any of them.
+  void PrefetchSlot(uint64_t key) const {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[HomeSlot(key)]);
+  }
 
   /// Number of non-empty buckets.
-  size_t num_buckets() const { return bucket_index_.size(); }
+  size_t num_buckets() const { return num_buckets_; }
   /// Number of indexed points.
   size_t num_points() const { return ids_.size(); }
   /// Largest bucket size (0 when empty).
   size_t max_bucket_size() const { return max_bucket_size_; }
   /// Number of buckets that carry a materialized sketch.
   size_t num_sketches() const { return sketches_.size(); }
-  /// Heap bytes for ids, offsets, index, and sketches.
+  /// Slots in the bucket directory (a power of two, or 0 when empty). A
+  /// key's home slot is `key & (slot_capacity() - 1)`.
+  size_t slot_capacity() const { return slots_.size(); }
+  /// Heap bytes for ids, the directory's slots, and sketches.
   size_t MemoryBytes() const;
   /// Bytes used by HLL sketches alone (the paper's space overhead).
   size_t SketchBytes() const;
 
-  /// Appends the table (buckets, ids, sketches) to the writer.
+  /// Appends the table (buckets in ascending key order, ids, sketches) to
+  /// the writer.
   void Serialize(util::ByteWriter* writer) const;
-  /// Parses a table written by Serialize. Validates counts, offsets and
-  /// sketch payloads; returns DataLoss on malformed input.
+  /// Parses a table written by Serialize. Validates counts, offsets,
+  /// bucket keys and sketch payloads; returns DataLoss on malformed input.
   static util::StatusOr<LshTable> Deserialize(util::ByteReader* reader);
 
  private:
-  std::unordered_map<uint64_t, uint32_t> bucket_index_;  // key -> bucket ordinal
-  std::vector<size_t> offsets_;                          // CSR offsets
-  std::vector<uint32_t> ids_;                            // grouped point ids
-  std::vector<int32_t> sketch_of_bucket_;  // ordinal -> sketch idx or -1
-  std::vector<hll::HyperLogLog> sketches_;
+  /// One directory entry: the bucket's ids are ids_[begin, begin + count).
+  /// count == 0 marks an empty slot (stored buckets are never empty).
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t begin = 0;
+    uint32_t count = 0;
+  };
+
+  size_t HomeSlot(uint64_t key) const {
+    return static_cast<size_t>(key) & mask_;
+  }
+
+  const hll::HyperLogLog* SketchOf(const Slot& slot) const {
+    if (slot.count < min_sketched_size_) return nullptr;
+    const auto it = std::lower_bound(sketch_begins_.begin(),
+                                     sketch_begins_.end(), slot.begin);
+    if (it == sketch_begins_.end() || *it != slot.begin) return nullptr;
+    return &sketches_[static_cast<size_t>(it - sketch_begins_.begin())];
+  }
+
+  /// Empties the table and sizes the directory for `num_buckets` buckets.
+  void Reset(size_t num_buckets);
+  /// Claims a slot for a bucket; false when the key is already present.
+  bool InsertSlot(uint64_t key, uint32_t begin, uint32_t count);
+  /// Records a sketch for the bucket starting at `begin`. Buckets must be
+  /// added in ascending `begin` order.
+  void AddSketch(uint32_t begin, uint32_t count, hll::HyperLogLog sketch);
+  /// The shared body of Build / BuildFromEntries: `key_at(j)` / `id_at(j)`
+  /// give the j-th entry in (key, id) sorted order.
+  template <typename KeyAt, typename IdAt>
+  void BuildSorted(size_t n, KeyAt key_at, IdAt id_at, const Options& options);
+
+  std::vector<Slot> slots_;  // the bucket directory
+  size_t mask_ = 0;          // slots_.size() - 1
+  size_t num_buckets_ = 0;
+  std::vector<uint32_t> ids_;  // point ids grouped by bucket, keys ascending
+  std::vector<uint32_t> sketch_begins_;     // ascending; sketched buckets
+  std::vector<hll::HyperLogLog> sketches_;  // parallel to sketch_begins_
+  uint32_t min_sketched_size_ = UINT32_MAX;  // smallest sketched bucket
   size_t max_bucket_size_ = 0;
 };
 
-/// The append-friendly sibling of LshTable: plain hash-map buckets, no
-/// sketches, no CSR packing. This is the *active segment* representation of
-/// engine::SegmentedIndex — freshly inserted points land here until the
-/// segment is sealed into an LshTable. Lookup returns the same BucketView
-/// as LshTable with `sketch == nullptr`, so the query path treats every
-/// active bucket like a small bucket (ids folded into the merged HLL on
-/// demand), and the estimate/collect helpers work over either table kind.
-class DynamicLshTable {
- public:
-  DynamicLshTable() = default;
-
-  /// Appends `id` to the bucket keyed `key`.
-  void Insert(uint64_t key, uint32_t id) {
-    buckets_[key].push_back(id);
-    ++num_points_;
-  }
-
-  /// Looks up the bucket for a key; empty view when absent, never a sketch.
-  LshTable::BucketView Lookup(uint64_t key) const {
-    const auto it = buckets_.find(key);
-    if (it == buckets_.end()) return LshTable::BucketView{};
-    return LshTable::BucketView{{it->second.data(), it->second.size()},
-                                nullptr};
-  }
-
-  /// Appends every (key, id) pair to *keys / *ids, skipping tombstoned ids
-  /// (same contract as LshTable::ExportEntries).
-  void ExportEntries(std::vector<uint64_t>* keys, std::vector<uint32_t>* ids,
-                     const util::BitVector* tombstones = nullptr) const;
-
-  size_t num_points() const { return num_points_; }
-  size_t num_buckets() const { return buckets_.size(); }
-  size_t MemoryBytes() const;
-
-  /// Drops every bucket (after sealing into an LshTable).
-  void Clear() {
-    buckets_.clear();
-    num_points_ = 0;
-  }
-
- private:
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
-  size_t num_points_ = 0;
-};
+/// candSize from a sketch merged over probed buckets: the HLL estimate,
+/// capped at the exact collision count — distinct candidates never
+/// outnumber collisions, and linear counting overshoots on many tiny
+/// buckets. Zero collisions give 0.
+inline double ClampedEstimate(const hll::HyperLogLog& merged,
+                              uint64_t collisions) {
+  return collisions == 0
+             ? 0.0
+             : std::min(merged.Estimate(), static_cast<double>(collisions));
+}
 
 }  // namespace lsh
 }  // namespace hybridlsh

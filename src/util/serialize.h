@@ -114,6 +114,8 @@ class ByteReader {
     if (size > remaining()) {
       return util::Status::DataLoss("buffer truncated");
     }
+    // An empty array's data() may be null, which memcpy must not receive.
+    if (size == 0) return util::Status::Ok();
     std::memcpy(out, bytes_.data() + offset_, size);
     offset_ += size;
     return util::Status::Ok();

@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "data/synthetic.h"
+#include "engine/segmented_index.h"
+#include "lsh/covering.h"
+#include "lsh/index.h"
 #include "util/random.h"
 
 namespace hybridlsh {
@@ -221,6 +225,112 @@ TEST(HyperLogLogTest, MeanRelativeErrorNearTheory) {
   const double s = 1.04 / std::sqrt(128.0);
   EXPECT_GT(mean_rel_err, 0.3 * s);
   EXPECT_LT(mean_rel_err, 1.6 * s);
+}
+
+
+// The probe estimate is capped at the exact collision count: distinct
+// candidates never outnumber collisions, yet linear counting over a few
+// ids overshoots — one id alone estimates m ln(m / (m - 1)) > 1. Probing
+// k singleton buckets (k distinct ids, k collisions) shows the overshoot on
+// the raw merged sketch and the cap on the estimate the walks report.
+TEST(HyperLogLogTest, SingletonBucketEstimateIsCappedAtCollisions) {
+  constexpr size_t kBuckets = 2000;
+  std::vector<uint64_t> keys(kBuckets);
+  for (size_t i = 0; i < kBuckets; ++i) keys[i] = util::HashU64(i, 7);
+  lsh::LshTable table;
+  table.Build(keys, lsh::LshTable::Options{});
+  ASSERT_EQ(table.num_buckets(), kBuckets);
+
+  size_t overshoots = 0;
+  std::vector<lsh::LshTable::BucketView> views;
+  for (size_t k = 1; k <= 200; ++k) {
+    lsh::ProbePlan plan;
+    plan.keys.assign(keys.begin(), keys.begin() + static_cast<long>(k));
+    plan.table_offsets = {0, static_cast<uint32_t>(k)};
+    views.clear();
+    const uint64_t collisions = lsh::ResolveProbe(
+        std::span<const lsh::LshTable>(&table, 1), plan, &views);
+    ASSERT_EQ(collisions, k);
+    HyperLogLog merged(7);
+    lsh::MergeResolved(views, &merged);
+    overshoots += merged.Estimate() > static_cast<double>(k);
+    EXPECT_LE(lsh::ClampedEstimate(merged, collisions),
+              static_cast<double>(collisions));
+  }
+  EXPECT_GT(overshoots, 0u);
+}
+
+// Every EstimateProbe applies the cap: the static index (plan and key
+// forms), a segmented snapshot (sealed buckets and the active log's folded
+// ids), and covering LSH. One table over points that each sit alone in
+// their bucket: a query at a dataset point collides once, and the raw
+// estimate of that one id would be above 1.
+TEST(HyperLogLogTest, EveryEstimateProbeIsCappedAtCollisions) {
+  const data::DenseDataset points = data::MakeUniformCube(500, 8, 3);
+  using Index = lsh::LshIndex<lsh::PStableFamily>;
+  Index::Options options;
+  options.num_tables = 1;
+  options.k = 8;
+  options.seed = 5;
+  const lsh::PStableFamily family = lsh::PStableFamily::L2(8, 0.05);
+  auto index = Index::Build(family, points, options);
+  ASSERT_TRUE(index.ok());
+
+  using Segmented = engine::SegmentedIndex<lsh::PStableFamily>;
+  Segmented::Options segmented_options;
+  segmented_options.index = options;
+  data::DenseDataset growing = points;
+  auto segmented =
+      Segmented::Build(family, &growing, 0, 250, segmented_options);
+  ASSERT_TRUE(segmented.ok());
+  ASSERT_TRUE(segmented->EnableUpdates(&growing).ok());
+  for (size_t i = 250; i < points.size(); ++i) {
+    // Re-inserts rows 250.. as new ids into the active log.
+    ASSERT_TRUE(segmented->Insert(points.point(i)).ok());
+  }
+
+  HyperLogLog scratch = index->MakeScratchSketch();
+  lsh::PlanScratch plan_scratch;
+  lsh::ProbePlan plan;
+  std::vector<uint64_t> keys;
+  size_t singletons = 0;
+  for (size_t i = 0; i < points.size(); i += 5) {
+    ASSERT_TRUE(index->ComputePlan(points.point(i), 1, &plan_scratch, &plan)
+                    .ok());
+    index->QueryKeys(points.point(i), &keys);
+    const lsh::ProbeEstimate by_plan = index->EstimateProbe(plan, &scratch);
+    const lsh::ProbeEstimate by_keys = index->EstimateProbe(keys, &scratch);
+    EXPECT_EQ(by_plan.collisions, by_keys.collisions);
+    EXPECT_EQ(by_plan.cand_estimate, by_keys.cand_estimate);
+    EXPECT_LE(by_plan.cand_estimate, static_cast<double>(by_plan.collisions));
+    if (by_plan.collisions == 1) {
+      ++singletons;
+      EXPECT_EQ(by_plan.cand_estimate, 1.0);
+    }
+    const auto snapshot = segmented->Acquire();
+    for (const lsh::ProbeEstimate estimate :
+         {snapshot.EstimateProbe(plan, &scratch),
+          snapshot.EstimateProbe(keys, &scratch)}) {
+      EXPECT_LE(estimate.cand_estimate,
+                static_cast<double>(estimate.collisions));
+    }
+  }
+  EXPECT_GT(singletons, 0u);
+  HyperLogLog one(7);
+  one.AddPoint(0);
+  EXPECT_GT(one.Estimate(), 1.0);
+
+  const data::BinaryDataset codes = data::MakeRandomCodes(400, 64, 9);
+  lsh::CoveringLshIndex::Options covering_options;
+  covering_options.radius = 1;
+  auto covering = lsh::CoveringLshIndex::Build(codes, covering_options);
+  ASSERT_TRUE(covering.ok());
+  HyperLogLog covering_scratch(covering_options.hll_precision);
+  for (size_t i = 0; i < codes.size(); i += 7) {
+    covering->QueryKeys(codes.point(i), &keys);
+    const auto estimate = covering->EstimateProbe(keys, &covering_scratch);
+    EXPECT_LE(estimate.cand_estimate, static_cast<double>(estimate.collisions));
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Tests for lsh/table.h: bucket grouping, sketch materialization policy,
-// and the small-bucket on-demand trick.
+// the small-bucket on-demand trick, the flat bucket directory's probe runs,
+// and the export / serialization round trips.
 
 #include "lsh/table.h"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
+
+#include "util/random.h"
 
 #include <gtest/gtest.h>
 
@@ -146,6 +150,194 @@ TEST(LshTableTest, ManyDistinctKeys) {
     ASSERT_EQ(view.size(), 1u);
     EXPECT_EQ(view.ids[0], i);
   }
+}
+
+
+TEST(LshTableTest, AbsentKeysMissInAPopulatedTable) {
+  std::vector<uint64_t> keys(300);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = (i % 100) * 7919 + 1;
+  LshTable table;
+  table.Build(keys, SmallThreshold(0));
+  ASSERT_EQ(table.num_buckets(), 100u);
+  // Keys between the stored ones, and keys sharing a stored key's home
+  // slot (same low bits), all miss.
+  const uint64_t capacity = table.slot_capacity();
+  for (size_t b = 0; b < 100; ++b) {
+    const uint64_t present = b * 7919 + 1;
+    EXPECT_EQ(table.Lookup(present).size(), 3u);
+    for (const uint64_t absent :
+         {present + 1, present + capacity, present + (capacity << 20)}) {
+      const auto view = table.Lookup(absent);
+      EXPECT_TRUE(view.empty()) << absent;
+      EXPECT_EQ(view.sketch, nullptr);
+    }
+  }
+}
+
+TEST(LshTableTest, KeysForcedOntoOneSlotWrapAround) {
+  // Three buckets fit a 4-slot directory (load 0.75). Every key below has
+  // home slot 3, the last one, so the probe run wraps to slots 0 and 1.
+  constexpr uint64_t kSlots = 4;
+  const std::vector<uint64_t> distinct{kSlots - 1, 2 * kSlots - 1,
+                                       3 * kSlots - 1};
+  const std::vector<uint64_t> keys{distinct[2], distinct[0], distinct[1],
+                                   distinct[2], distinct[2]};
+  LshTable table;
+  table.Build(keys, SmallThreshold(3));
+  ASSERT_EQ(table.slot_capacity(), kSlots);
+  ASSERT_EQ(table.num_buckets(), 3u);
+  EXPECT_EQ(table.Lookup(distinct[0]).size(), 1u);
+  EXPECT_EQ(table.Lookup(distinct[0]).ids[0], 1u);
+  EXPECT_EQ(table.Lookup(distinct[1]).size(), 1u);
+  EXPECT_EQ(table.Lookup(distinct[1]).ids[0], 2u);
+  const auto big = table.Lookup(distinct[2]);
+  ASSERT_EQ(big.size(), 3u);
+  EXPECT_EQ(std::vector<uint32_t>(big.ids.begin(), big.ids.end()),
+            (std::vector<uint32_t>{0, 3, 4}));
+  EXPECT_NE(big.sketch, nullptr);
+  EXPECT_EQ(table.Lookup(distinct[0]).sketch, nullptr);
+  // A fourth key with the same home slot walks the whole run and stops at
+  // the one empty slot.
+  EXPECT_TRUE(table.Lookup(4 * kSlots - 1).empty());
+  EXPECT_TRUE(table.Lookup(kSlots - 2).empty());
+}
+
+TEST(LshTableTest, EmptyTableAnswersEveryCall) {
+  for (const bool built : {false, true}) {
+    LshTable table;
+    if (built) table.BuildFromEntries({}, {}, SmallThreshold(0));
+    EXPECT_EQ(table.num_buckets(), 0u);
+    EXPECT_EQ(table.slot_capacity(), 0u);
+    EXPECT_TRUE(table.Lookup(0).empty());
+    EXPECT_TRUE(table.Lookup(~uint64_t{0}).empty());
+    table.PrefetchSlot(42);
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> ids;
+    table.ExportEntries(&keys, &ids);
+    EXPECT_TRUE(keys.empty() && ids.empty());
+    EXPECT_EQ(table.MemoryBytes(), 0u);
+
+    util::ByteWriter writer;
+    table.Serialize(&writer);
+    util::ByteReader reader(writer.bytes());
+    auto loaded = LshTable::Deserialize(&reader);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(loaded->num_buckets(), 0u);
+    EXPECT_TRUE(loaded->Lookup(0).empty());
+  }
+}
+
+/// A table over `n` points in about n/8 buckets of random keys, sketching
+/// buckets of at least 12 ids.
+LshTable RandomTable(size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<uint64_t> bucket_keys(n / 8 + 1);
+  for (uint64_t& key : bucket_keys) key = rng.NextU64();
+  std::vector<uint64_t> keys(n);
+  for (uint64_t& key : keys) {
+    key = bucket_keys[rng.NextU64() % bucket_keys.size()];
+  }
+  LshTable table;
+  table.Build(keys, SmallThreshold(12));
+  return table;
+}
+
+std::vector<uint8_t> Bytes(const LshTable& table) {
+  util::ByteWriter writer;
+  table.Serialize(&writer);
+  return writer.bytes();
+}
+
+TEST(LshTableTest, ExportThenBuildFromEntriesRoundTrips) {
+  const LshTable table = RandomTable(3000, 17);
+  ASSERT_GT(table.num_sketches(), 0u);
+  ASSERT_LT(table.num_sketches(), table.num_buckets());
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> ids;
+  table.ExportEntries(&keys, &ids);
+  ASSERT_EQ(keys.size(), 3000u);
+  // Any entry order rebuilds the same table.
+  std::vector<size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::reverse(order.begin(), order.end());
+  std::vector<uint64_t> shuffled_keys;
+  std::vector<uint32_t> shuffled_ids;
+  for (const size_t i : order) {
+    shuffled_keys.push_back(keys[i]);
+    shuffled_ids.push_back(ids[i]);
+  }
+  LshTable rebuilt;
+  rebuilt.BuildFromEntries(shuffled_keys, shuffled_ids, SmallThreshold(12));
+  EXPECT_EQ(Bytes(rebuilt), Bytes(table));
+  for (size_t i = 0; i < keys.size(); i += 97) {
+    const auto a = table.Lookup(keys[i]);
+    const auto b = rebuilt.Lookup(keys[i]);
+    EXPECT_TRUE(std::equal(a.ids.begin(), a.ids.end(), b.ids.begin(),
+                           b.ids.end()));
+    EXPECT_EQ(a.sketch == nullptr, b.sketch == nullptr);
+    if (a.sketch != nullptr) EXPECT_EQ(*a.sketch, *b.sketch);
+  }
+}
+
+TEST(LshTableTest, SerializeDeserializeSerializeIsByteIdentical) {
+  const LshTable table = RandomTable(2000, 23);
+  const std::vector<uint8_t> bytes = Bytes(table);
+  util::ByteReader reader(bytes);
+  auto loaded = LshTable::Deserialize(&reader);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(Bytes(*loaded), bytes);
+  EXPECT_EQ(loaded->num_buckets(), table.num_buckets());
+  EXPECT_EQ(loaded->num_sketches(), table.num_sketches());
+  EXPECT_EQ(loaded->MemoryBytes(), table.MemoryBytes());
+}
+
+/// Serializes a hand-made table in the on-disk layout.
+std::vector<uint8_t> HandMadeTable(const std::vector<uint64_t>& keys,
+                                   const std::vector<size_t>& offsets,
+                                   const std::vector<int32_t>& sketch_of,
+                                   size_t num_sketches) {
+  util::ByteWriter writer;
+  writer.WriteU64(keys.size());
+  writer.WriteU64(offsets.back());
+  writer.WriteU64(1);
+  writer.WriteArray<uint64_t>(keys);
+  writer.WriteArray<size_t>(offsets);
+  std::vector<uint32_t> ids(offsets.back());
+  std::iota(ids.begin(), ids.end(), 0);
+  writer.WriteArray<uint32_t>(ids);
+  writer.WriteArray<int32_t>(sketch_of);
+  writer.WriteU64(num_sketches);
+  for (size_t s = 0; s < num_sketches; ++s) {
+    writer.WriteBlob(hll::HyperLogLog(7).Serialize());
+  }
+  return writer.bytes();
+}
+
+util::StatusCode LoadCode(const std::vector<uint8_t>& bytes) {
+  util::ByteReader reader(bytes);
+  return LshTable::Deserialize(&reader).status().code();
+}
+
+TEST(LshTableTest, DeserializeRejectsMalformedDirectories) {
+  // The well-formed baseline loads.
+  EXPECT_EQ(LoadCode(HandMadeTable({5, 9}, {0, 1, 2}, {-1, 0}, 1)),
+            util::StatusCode::kOk);
+  // Duplicate bucket keys.
+  EXPECT_EQ(LoadCode(HandMadeTable({5, 5}, {0, 1, 2}, {-1, -1}, 0)),
+            util::StatusCode::kDataLoss);
+  // A duplicate found only after the probe run wraps: four buckets take
+  // an 8-slot directory, and 7, 15, 23 all start at the last slot.
+  EXPECT_EQ(LoadCode(HandMadeTable({7, 15, 23, 15}, {0, 1, 2, 3, 4},
+                                   {-1, -1, -1, -1}, 0)),
+            util::StatusCode::kDataLoss);
+  // An empty bucket.
+  EXPECT_EQ(LoadCode(HandMadeTable({5, 9}, {0, 0, 2}, {-1, -1}, 0)),
+            util::StatusCode::kDataLoss);
+  // Sketch indexes out of bucket order, and an unreferenced sketch.
+  EXPECT_EQ(LoadCode(HandMadeTable({5, 9}, {0, 1, 2}, {1, 0}, 2)),
+            util::StatusCode::kDataLoss);
+  EXPECT_EQ(LoadCode(HandMadeTable({5, 9}, {0, 1, 2}, {-1, 0}, 2)),
+            util::StatusCode::kDataLoss);
 }
 
 }  // namespace
